@@ -2,8 +2,8 @@
 //! `BENCH_engine.json` report.
 //!
 //! Usage: `bench_report [criterion.jsonl] [BENCH_engine.json]
-//! [--serve serve.json] [--des-scaling des.json] [--lint lint.json]
-//! [--nproc N] [suite.json ...]`
+//! [--serve serve.json] [--des-scaling des.json] [--nproc N]
+//! [suite.json ...]`
 //! (defaults: `target/criterion.jsonl`, `BENCH_engine.json`).
 //! Trailing args are `run_experiments --json` outputs; their
 //! `suite_wall_seconds` land in the `experiment_suite` block keyed by
@@ -17,10 +17,7 @@
 //! takes a `des_scaling_bench --json` output and lands it in a
 //! `des_scaling` block (full-DES weak-scaling throughput plus the run's
 //! determinism digest); an empty run — zero messages or kernel events,
-//! or a malformed digest — is rejected rather than published. `--lint`
-//! takes a `deep-lint --bench-cache` output and lands it in a `lint`
-//! block (cold vs warm incremental scan wall time); a warm scan that
-//! misses the cache or drops under 5× cold is rejected.
+//! or a malformed digest — is rejected rather than published.
 //!
 //! Missing or regressed parallelism is a **hard failure** on a
 //! multi-core host (`--nproc` ≥ 2): no multi-thread suite row, or a
@@ -232,57 +229,6 @@ fn parse_des_scaling(text: &str) -> Option<DesStats> {
     })
 }
 
-/// Interprocedural-lint timing from a `deep-lint --bench-cache` run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct LintStats {
-    files: u64,
-    cold_wall_s: f64,
-    warm_wall_s: f64,
-    warm_cache_hits: u64,
-    warm_speedup: f64,
-    findings: u64,
-}
-
-/// Parse a `deep-lint --bench-cache` output file.
-fn parse_lint(text: &str) -> Option<LintStats> {
-    let v = deep_json::from_str(text).ok()?;
-    let l = v.get("lint")?;
-    Some(LintStats {
-        files: l.get("files")?.as_u64()?,
-        cold_wall_s: l.get("cold_wall_s")?.as_f64()?,
-        warm_wall_s: l.get("warm_wall_s")?.as_f64()?,
-        warm_cache_hits: l.get("warm_cache_hits")?.as_u64()?,
-        warm_speedup: l.get("warm_speedup")?.as_f64()?,
-        findings: l.get("findings")?.as_u64()?,
-    })
-}
-
-/// The lint-cache gate: a warm incremental scan must be at least 5×
-/// faster than cold, every file must come from the cache, and the run
-/// must have covered a plausible workspace. Host-independent — the
-/// ratio is between two runs on the same machine — so always hard.
-const LINT_MIN_WARM_SPEEDUP: f64 = 5.0;
-
-fn lint_gate(l: &LintStats) -> Result<(), String> {
-    if l.files == 0 {
-        return Err("lint run scanned zero files".to_string());
-    }
-    if l.warm_cache_hits != l.files {
-        return Err(format!(
-            "warm lint run missed the cache: {} hits for {} files",
-            l.warm_cache_hits, l.files
-        ));
-    }
-    if l.warm_speedup < LINT_MIN_WARM_SPEEDUP {
-        return Err(format!(
-            "incremental lint payoff regressed: warm scan only {:.2}x \
-             faster than cold (required >= {LINT_MIN_WARM_SPEEDUP:.1}x)",
-            l.warm_speedup
-        ));
-    }
-    Ok(())
-}
-
 /// The des-scaling sanity gate. Unlike the parallel-payoff gate this one
 /// is host-independent: a run that simulated nothing (zero messages or
 /// kernel events, a non-positive simulated iteration) or whose digest is
@@ -366,7 +312,6 @@ fn render(
     suites: &[SuiteRun],
     serve: Option<&ServeStats>,
     des: Option<&DesStats>,
-    lint: Option<&LintStats>,
     host_nproc: Option<u64>,
 ) -> String {
     let events = results.get("engine/timers/1000").and_then(|e| e.per_sec());
@@ -471,7 +416,7 @@ fn render(
         }
     }
     // Full-DES weak scaling (des_scaling_bench): throughput of the
-    // partitioned, batch-scheduled engine on the F09 skeleton, plus the
+    // batch-scheduled engine on the F09 skeleton, plus the
     // run's summary digest — the value CI compares across thread counts.
     match des {
         Some(d) => {
@@ -490,24 +435,6 @@ fn render(
         }
         None => {
             let _ = writeln!(out, "  \"des_scaling\": null,");
-        }
-    }
-    // Interprocedural lint cost (deep-lint --bench-cache): cold
-    // whole-workspace scan vs warm incremental rescan on the summary
-    // cache — the committed proof that the cache pays for itself.
-    match lint {
-        Some(l) => {
-            let _ = writeln!(out, "  \"lint\": {{");
-            let _ = writeln!(out, "    \"files\": {},", l.files);
-            let _ = writeln!(out, "    \"cold_wall_s\": {:.3},", l.cold_wall_s);
-            let _ = writeln!(out, "    \"warm_wall_s\": {:.3},", l.warm_wall_s);
-            let _ = writeln!(out, "    \"warm_cache_hits\": {},", l.warm_cache_hits);
-            let _ = writeln!(out, "    \"warm_speedup\": {:.2},", l.warm_speedup);
-            let _ = writeln!(out, "    \"findings\": {}", l.findings);
-            let _ = writeln!(out, "  }},");
-        }
-        None => {
-            let _ = writeln!(out, "  \"lint\": null,");
         }
     }
     let _ = writeln!(out, "  \"baseline\": {{");
@@ -571,7 +498,6 @@ fn main() {
     let mut positional: Vec<String> = Vec::new();
     let mut serve: Option<ServeStats> = None;
     let mut des: Option<DesStats> = None;
-    let mut lint: Option<LintStats> = None;
     let mut host_nproc: Option<u64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -595,17 +521,6 @@ fn main() {
             des = Some(
                 parse_des_scaling(&text)
                     .unwrap_or_else(|| panic!("{path} is not a des_scaling_bench output")),
-            );
-        } else if arg == "--lint" {
-            let path = args.next().unwrap_or_else(|| {
-                eprintln!("--lint needs a deep-lint --bench-cache output path");
-                std::process::exit(2);
-            });
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("cannot read lint timing file {path}: {e}"));
-            lint = Some(
-                parse_lint(&text)
-                    .unwrap_or_else(|| panic!("{path} is not a deep-lint --bench-cache output")),
             );
         } else if arg == "--nproc" {
             let n = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
@@ -651,14 +566,6 @@ fn main() {
             std::process::exit(1);
         }
     }
-    // The incremental-lint gate: a warm scan that misses the cache or
-    // falls under the 5× payoff floor must not publish; see lint_gate.
-    if let Some(l) = &lint {
-        if let Err(msg) = lint_gate(l) {
-            eprintln!("ERROR: {msg}");
-            std::process::exit(1);
-        }
-    }
     let text = std::fs::read_to_string(&input)
         .unwrap_or_else(|e| panic!("cannot read {input}: {e} (run scripts/bench.sh first)"));
     let results = collect(&text);
@@ -666,14 +573,7 @@ fn main() {
         results.contains_key("engine/timers/1000"),
         "input has no engine/timers/1000 result; did the engine bench run?"
     );
-    let report = render(
-        &results,
-        &suites,
-        serve.as_ref(),
-        des.as_ref(),
-        lint.as_ref(),
-        host_nproc,
-    );
+    let report = render(&results, &suites, serve.as_ref(), des.as_ref(), host_nproc);
     std::fs::write(&output, &report).unwrap_or_else(|e| panic!("cannot write {output}: {e}"));
     println!("wrote {output} ({} benchmarks)", results.len());
 }
@@ -724,7 +624,7 @@ mod tests {
             "{\"name\":\"mpi/allreduce/8\",\"ns_per_iter\":1000,\"elements\":4}\n",
             "{\"name\":\"ompss/cholesky_graph_build/8\",\"ns_per_iter\":1000,\"elements\":120}\n",
         );
-        let report = render(&collect(text), &[], None, None, None, None);
+        let report = render(&collect(text), &[], None, None, None);
         // 100000 elements / 5 ms = 20 M events/s; baseline ≈ 8.92 M → 2.24×.
         assert!(report.contains("\"events_per_sec\": 20000000"));
         assert!(report.contains("\"transfers_per_sec\": 2000000"));
@@ -769,7 +669,7 @@ mod tests {
         );
         let mut one = sr(1, 8.4);
         one.profile = vec![("a33_allreduce_algorithms".to_string(), 3.424)];
-        let report = render(&collect(text), &[one, sr(4, 2.1)], None, None, None, None);
+        let report = render(&collect(text), &[one, sr(4, 2.1)], None, None, None);
         // 64 runs / 64 ms = 1000 runs/s single-threaded, 4000 wide.
         assert!(report.contains("\"sweep_runs_per_sec_1thread\": 1000"));
         assert!(report.contains("\"sweep_runs_per_sec_nthreads\": 4000"));
@@ -803,7 +703,7 @@ mod tests {
         );
         assert_eq!(suites[0].profile, vec![("x".to_string(), 6.0)]);
 
-        let report = render(&BTreeMap::new(), &suites, None, None, None, None);
+        let report = render(&BTreeMap::new(), &suites, None, None, None);
         assert_eq!(report.matches("\"1\": 6.700").count(), 1, "{report}");
     }
 
@@ -814,7 +714,6 @@ mod tests {
             &[sr(1, 8.4), sr(4, 2.1)],
             None,
             None,
-            None,
             Some(4),
         );
         assert!(
@@ -823,7 +722,7 @@ mod tests {
         );
         // Without --nproc the field is an explicit null, not absent —
         // a committed report always says whether the host was recorded.
-        let report = render(&BTreeMap::new(), &[], None, None, None, None);
+        let report = render(&BTreeMap::new(), &[], None, None, None);
         assert!(report.contains("\"host_nproc\": null"), "{report}");
         // The report stays valid JSON either way.
         assert!(deep_json::from_str(&report).is_ok(), "{report}");
@@ -875,11 +774,11 @@ mod tests {
         let stats = parse_serve(text).unwrap();
         assert_eq!(stats.jobs, 16);
         assert_eq!(stats.cached_service_micros_max, 812);
-        let report = render(&BTreeMap::new(), &[], Some(&stats), None, None, None);
+        let report = render(&BTreeMap::new(), &[], Some(&stats), None, None);
         assert!(report.contains("\"cached_jobs_per_s\": 640.00"), "{report}");
         assert!(report.contains("\"cache_speedup\": 51.20"), "{report}");
         // Without serve data the section is an explicit null, not absent.
-        let report = render(&BTreeMap::new(), &[], None, None, None, None);
+        let report = render(&BTreeMap::new(), &[], None, None, None);
         assert!(report.contains("\"serve\": null"), "{report}");
         assert!(parse_serve("{}").is_none());
         assert!(parse_serve("not json").is_none());
@@ -912,7 +811,7 @@ mod tests {
         assert_eq!((d.ranks, d.iters, d.segments), (65536, 2, 3641));
         assert_eq!(d.class, "spmv");
         assert_eq!(d.digest, "0x08b70910eb221787");
-        let report = render(&BTreeMap::new(), &[], None, Some(&d), None, None);
+        let report = render(&BTreeMap::new(), &[], None, Some(&d), None);
         assert!(report.contains("\"ranks\": 65536"), "{report}");
         assert!(
             report.contains("\"iter_sim_seconds\": 0.002051244"),
@@ -924,7 +823,7 @@ mod tests {
         );
         assert!(deep_json::from_str(&report).is_ok(), "{report}");
         // Without des data the section is an explicit null, not absent.
-        let report = render(&BTreeMap::new(), &[], None, None, None, None);
+        let report = render(&BTreeMap::new(), &[], None, None, None);
         assert!(report.contains("\"des_scaling\": null"), "{report}");
         assert!(parse_des_scaling("{}").is_none());
         assert!(parse_des_scaling("not json").is_none());
@@ -951,61 +850,5 @@ mod tests {
         let mut d = des_fixture();
         d.digest = "08b70910eb221787".to_string();
         assert!(des_gate(&d).is_err(), "unprefixed digest must not publish");
-    }
-
-    /// A plausible `deep-lint --bench-cache` output, as a test fixture.
-    fn lint_fixture() -> LintStats {
-        parse_lint(
-            r#"{
-  "lint": {
-    "files": 202,
-    "cold_wall_s": 0.292,
-    "warm_wall_s": 0.028,
-    "warm_cache_hits": 202,
-    "warm_speedup": 10.43,
-    "findings": 0
-  }
-}"#,
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn lint_section_parses_and_renders() {
-        let l = lint_fixture();
-        assert_eq!((l.files, l.warm_cache_hits, l.findings), (202, 202, 0));
-        assert_eq!(l.warm_speedup, 10.43);
-        let report = render(&BTreeMap::new(), &[], None, None, Some(&l), None);
-        assert!(report.contains("\"files\": 202"), "{report}");
-        assert!(report.contains("\"warm_speedup\": 10.43"), "{report}");
-        assert!(report.contains("\"cold_wall_s\": 0.292"), "{report}");
-        assert!(deep_json::from_str(&report).is_ok(), "{report}");
-        // Without lint data the section is an explicit null, not absent.
-        let report = render(&BTreeMap::new(), &[], None, None, None, None);
-        assert!(report.contains("\"lint\": null"), "{report}");
-        assert!(parse_lint("{}").is_none());
-        assert!(parse_lint("not json").is_none());
-    }
-
-    #[test]
-    fn lint_gate_rejects_cache_misses_and_weak_speedups() {
-        assert!(lint_gate(&lint_fixture()).is_ok());
-        let mut l = lint_fixture();
-        l.files = 0;
-        l.warm_cache_hits = 0;
-        assert!(lint_gate(&l).is_err(), "empty scan must not publish");
-        let mut l = lint_fixture();
-        l.warm_cache_hits = l.files - 1;
-        assert!(lint_gate(&l).is_err(), "a cache miss must not publish");
-        let mut l = lint_fixture();
-        l.warm_speedup = 4.99;
-        assert!(
-            lint_gate(&l).is_err(),
-            "sub-5x incremental payoff must not publish"
-        );
-        // The boundary itself passes: the gate is >=, not >.
-        let mut l = lint_fixture();
-        l.warm_speedup = LINT_MIN_WARM_SPEEDUP;
-        assert!(lint_gate(&l).is_ok());
     }
 }

@@ -9,8 +9,8 @@
 //! This is the one measurement in the suite where wall clock *is* the
 //! result: the simulated numbers are deterministic (pinned by the run's
 //! digest, which CI compares across `RAYON_NUM_THREADS` settings), and
-//! what the benchmark adds is how fast the partitioned, batch-scheduled
-//! engine chews through them. `events_per_sec` is the rate an unbatched
+//! what the benchmark adds is how fast the batch-scheduled engine
+//! chews through them. `events_per_sec` is the rate an unbatched
 //! engine would have needed to match: kernel events actually executed
 //! plus one per fabric message, since every batched message replaces at
 //! least one timer event of a per-message event loop.

@@ -8,10 +8,9 @@
 //! that feasible where a naive one-process-per-rank, one-event-per-
 //! message simulation is not:
 //!
-//! * **One process per fabric segment** (leaf switch), spawned into its
-//!   own event-loop partition (`Sim::spawn_in`): 2¹⁸ ranks become
-//!   ~14.5 k processes whose far-horizon compute timers live in private
-//!   per-partition heaps instead of one shared `BinaryHeap`.
+//! * **One process per fabric segment** (leaf switch): 2¹⁸ ranks become
+//!   ~14.5 k processes, so the kernel arms one compute timer per leaf
+//!   rather than one per rank.
 //! * **SoA per-rank state**: rank readiness, inbox arrival and send
 //!   completion times are three flat `Vec<SimTime>`s shared by every
 //!   segment — no per-rank objects, no per-rank futures.
@@ -43,8 +42,7 @@ pub const COMPUTE: SimDuration = SimDuration::micros(2_000);
 pub const HALO_BYTES: u64 = 64 << 10;
 /// Per-pair block of the complex class's all-to-all phase.
 pub const A2A_BLOCK: u64 = 4 << 10;
-/// Hosts per leaf switch — one simulated process (and one event-loop
-/// partition) per leaf.
+/// Hosts per leaf switch — one simulated process per leaf.
 const NODES_PER_LEAF: u32 = 18;
 
 /// Configuration of one skeleton run.
@@ -67,7 +65,7 @@ pub struct DesScalingConfig {
 pub struct DesScalingResult {
     pub ranks: u32,
     pub iters: u32,
-    /// Fabric segments (= leaf switches = extra event-loop partitions).
+    /// Fabric segments (= leaf switches = segment processes).
     pub segments: u32,
     /// Simulated seconds per iteration.
     pub iter_s: f64,
@@ -75,7 +73,7 @@ pub struct DesScalingResult {
     pub sim_s: f64,
     /// Logical point-to-point messages carried by the fabric.
     pub messages: u64,
-    /// Kernel events (process polls) the partitioned loop executed.
+    /// Kernel events (process polls) the event loop executed.
     pub kernel_events: u64,
     /// FNV-1a 64 over the run's virtual-time trajectory (per-iteration
     /// end instants + message count) — the cross-thread golden.
@@ -135,10 +133,6 @@ async fn segment(
     for _ in 0..iters {
         ctx.sleep(COMPUTE).await;
         {
-            // deep-lint: allow(partition-safety) — every access to
-            // `shared` sits between barrier.wait() pairs: the phases
-            // are globally sequenced, so no two partitions touch it at
-            // the same (at,seq).
             let sh = &mut *shared.borrow_mut();
             let now = ctx.now();
             for r in lo..hi {
@@ -212,9 +206,9 @@ async fn driver(
             barrier.wait().await; // segments merged
         }
         let t_end = {
-            // deep-lint: allow(partition-safety) — the collective
-            // rounds run after the "segments merged" barrier; only the
-            // driver is live until it sleeps to the iteration end.
+            // The collective rounds run after the "segments merged"
+            // barrier; only the driver is live until it sleeps to the
+            // iteration end.
             let sh = &mut *shared.borrow_mut();
             // Dot-product allreduce: recursive doubling, log2(n) rounds
             // of 8-byte exchanges. Each round is one batch; per-message
@@ -296,8 +290,7 @@ pub fn run(cfg: DesScalingConfig) -> DesScalingResult {
             n,
             cfg.iters,
         );
-        // One partition per leaf switch; partition 0 stays the driver's.
-        ctx.spawn_in_fmt(s + 1, format_args!("leaf-{s}"), fut);
+        ctx.spawn_fmt(format_args!("leaf-{s}"), fut);
     }
     {
         let fut = driver(
@@ -309,12 +302,9 @@ pub fn run(cfg: DesScalingConfig) -> DesScalingResult {
             cfg.iters,
             cfg.complex,
         );
-        // Partition 0 is the driver's home, matching the leaf layout.
-        ctx.spawn_in(0, "driver", fut);
+        ctx.spawn("driver", fut);
     }
     sim.run().assert_completed();
-    // deep-lint: allow(partition-safety) — read-only snapshot after the
-    // kernel has drained; no partition can still be running.
     let sh = shared.borrow();
     let sim_s = sim.now().as_secs_f64();
     let digest = fnv_fold(sh.digest, sh.messages);

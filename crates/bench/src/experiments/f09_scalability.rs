@@ -13,7 +13,7 @@
 //! Small rank counts run the skeleton rank-per-process through the full
 //! MPI stack over a simulated IB fabric. The headline points — SpMV at
 //! 262 144 ranks, complex at 4 096 — are **also discrete-event
-//! measurements**, via the partitioned, batch-scheduled
+//! measurements**, via the batch-scheduled
 //! [`crate::des_scaling`] engine (one process per leaf switch, SoA rank
 //! state, one kernel event per phase batch). The LogGP model that used
 //! to stand in for these points is now the *delta column*: the table
@@ -79,7 +79,7 @@ fn mpi_iter(n: u32, complex: bool) -> f64 {
 }
 
 /// One DES work unit of the (point × class) grid: either a
-/// rank-per-process MPI run (small) or a full-scale partitioned
+/// rank-per-process MPI run (small) or a full-scale batch-scheduled
 /// skeleton run (the headline points).
 enum Unit {
     Mpi {
@@ -94,7 +94,7 @@ enum Unit {
 }
 
 /// Measured seconds per iteration, plus the full-run summary when the
-/// unit went through the partitioned engine.
+/// unit went through the batch-scheduled engine.
 fn measure(u: &Unit) -> (f64, Option<des_scaling::DesScalingResult>) {
     match *u {
         Unit::Mpi { n, complex } => (mpi_iter(n, complex), None),

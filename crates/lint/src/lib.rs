@@ -36,7 +36,6 @@
 //! (`src/lib.rs`, `src/main.rs`, `src/bin/*.rs`) of every non-vendor
 //! package; test and example targets inherit scrutiny from S1 instead.
 
-pub mod cache;
 pub mod graph;
 pub mod items;
 pub mod lexer;
@@ -45,8 +44,7 @@ pub mod taint;
 
 pub use rules::{check_crate_root, lint_source, Finding, Rule, RuleSet};
 
-use items::FileSummary;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -74,130 +72,47 @@ pub fn rules_for_path(rel: &str) -> RuleSet {
     all
 }
 
-/// A full scan's output: findings plus the call graph and cache stats
-/// (for `--graph` and the CI cold/warm speedup gate).
+/// A full scan's output: findings plus the call graph (for `--graph`).
 pub struct ScanResult {
     pub findings: Vec<Finding>,
     pub graph: graph::Graph,
     /// `.rs` files scanned.
     pub files: usize,
-    /// How many came straight from the incremental cache.
-    pub cache_hits: usize,
 }
 
 /// Walk the workspace at `root` and apply every enabled rule. Findings
 /// come back sorted by path, line, rule. `enabled` masks rules globally
 /// on top of the per-path scope policy.
-pub fn scan_workspace(root: &Path, enabled: &RuleSet) -> io::Result<Vec<Finding>> {
-    Ok(scan_workspace_cached(root, enabled, None, false)?.findings)
-}
-
-/// Like [`scan_workspace`], but with an optional incremental cache
-/// directory and the full [`ScanResult`]. A warm cache skips the
-/// lex + extract + file-local-rules work per unchanged file (the
-/// dominant cost), and when *no* file changed, the memoized
-/// interprocedural findings skip the graph + taint pass too — any
-/// single changed file can re-route the whole graph, so the memo is
-/// keyed by the fold of every per-file digest. `want_graph` forces the
-/// graph to be built even on a full memo hit (for `--graph` /
-/// `--graph-md`); without it, a memo-hit result carries an empty graph.
-pub fn scan_workspace_cached(
-    root: &Path,
-    enabled: &RuleSet,
-    cache_dir: Option<&Path>,
-    want_graph: bool,
-) -> io::Result<ScanResult> {
+pub fn scan_workspace(root: &Path, enabled: &RuleSet) -> io::Result<ScanResult> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
-    let cache_path = cache_dir.map(|d| d.join(format!("summaries.v{}.txt", cache::SCHEMA_VERSION)));
-    let (cached, ws_memo) = match cache_path.as_ref().and_then(|p| cache::load(p)) {
-        Some(doc) => (
-            doc.entries
-                .into_iter()
-                .map(|(d, s)| (s.rel.clone(), (d, s)))
-                .collect::<BTreeMap<String, (u64, FileSummary)>>(),
-            doc.workspace,
-        ),
-        None => (BTreeMap::new(), None),
-    };
-    let mut entries: Vec<(u64, FileSummary)> = Vec::with_capacity(files.len());
-    let mut hits = 0usize;
-    let mut dirty = cached.len() != files.len();
-    // Crate-root inventory for S2, computed lazily: a fully-warm run
-    // never needs it (S2 findings are cached like any local finding).
-    let mut roots_set: Option<BTreeSet<String>> = None;
+    let roots: BTreeSet<String> = crate_roots(root)?.into_iter().collect();
+    let mut summaries = Vec::with_capacity(files.len());
+    let mut findings = Vec::new();
     for (abs, rel) in &files {
         let source = fs::read_to_string(abs)?;
-        let dg = cache::digest(rel, &source);
-        if let Some((cd, cs)) = cached.get(rel) {
-            if *cd == dg {
-                entries.push((dg, cs.clone()));
-                hits += 1;
-                continue;
-            }
-        }
-        dirty = true;
-        let mut s = items::extract(rel, &source);
-        // Local findings are cached at the file's full path mask; the
-        // `enabled` filter is applied at report time below, so one
-        // cache serves every --only/--skip combination.
-        s.local_findings = lint_source(rel, &source, &rules_for_path(rel));
-        let roots = match &roots_set {
-            Some(r) => r,
-            None => roots_set.insert(crate_roots(root)?.into_iter().collect()),
-        };
+        findings.extend(lint_source(rel, &source, &rules_for_path(rel)));
         if roots.contains(rel) {
-            s.local_findings.extend(check_crate_root(rel, &source));
+            findings.extend(check_crate_root(rel, &source));
         }
-        entries.push((dg, s));
+        summaries.push(items::extract(rel, &source));
     }
-    let ws_digest = cache::workspace_digest(&entries);
-    let memo_hit = !dirty && ws_memo.as_ref().is_some_and(|(d, _)| *d == ws_digest);
-
-    let mut findings: Vec<Finding> = entries
-        .iter()
-        .flat_map(|(_, s)| {
-            s.local_findings
-                .iter()
-                .filter(|f| enabled.has(f.rule))
-                .cloned()
-        })
-        .collect();
-    let (g, ws_all) = if memo_hit && !want_graph {
-        let memoized = ws_memo.map(|(_, f)| f).unwrap_or_default();
-        (graph::Graph::default(), memoized)
-    } else {
-        let deps = workspace_deps(root)?;
-        let summaries: Vec<FileSummary> = entries.iter().map(|(_, s)| s.clone()).collect();
-        let g = graph::build(&summaries, &deps);
-        // Memoized at the full rule set, filtered below — same policy
-        // as the per-file local findings.
-        let ws = taint::workspace_findings(&g, &summaries, &RuleSet::all());
-        (g, ws)
-    };
-    if !memo_hit {
-        if let Some(p) = &cache_path {
-            if let Some(parent) = p.parent() {
-                fs::create_dir_all(parent)?;
-            }
-            cache::save(p, &entries, &ws_all)?;
-        }
-    }
-    findings.extend(ws_all.into_iter().filter(|f| enabled.has(f.rule)));
+    let g = graph::build(&summaries, &workspace_deps(root)?);
+    findings.extend(taint::workspace_findings(&g, &summaries, &RuleSet::all()));
+    findings.retain(|f| enabled.has(f.rule));
     findings.sort();
     findings.dedup();
     Ok(ScanResult {
         findings,
         graph: g,
-        files: entries.len(),
-        cache_hits: hits,
+        files: summaries.len(),
     })
 }
 
 /// In-memory analysis of a set of `(rel path, source)` files — the
 /// interprocedural analogue of [`lint_source`], used by the fixture
 /// corpus for cross-file cases. Applies the per-path scope policy, an
-/// empty (permissive) dependency map, and no cache.
+/// empty (permissive) dependency map.
 pub fn analyze_sources(files: &[(&str, &str)], enabled: &RuleSet) -> Vec<Finding> {
     let mut summaries = Vec::with_capacity(files.len());
     let mut findings = Vec::new();
@@ -279,6 +194,18 @@ pub fn workspace_deps(root: &Path) -> io::Result<graph::Deps> {
 /// Directories never descended into.
 const SKIP_DIRS: [&str; 4] = ["target", ".git", "fixtures", "node_modules"];
 
+/// True if `dir/Cargo.toml` declares a `[workspace]` of its own: such a
+/// directory is a separate workspace (it builds this one's crates as
+/// path dependencies) and is not scanned as part of this one.
+fn is_nested_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|text| {
+        text.lines().any(|l| {
+            let t = l.trim();
+            t == "[workspace]" || t.starts_with("[workspace.")
+        })
+    })
+}
+
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<(PathBuf, String)>) -> io::Result<()> {
     // Sorted traversal: the lint's own output order must be
     // deterministic — same discipline it enforces.
@@ -291,7 +218,7 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<(PathBuf, String)>) -
     for path in entries {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name) || name.starts_with('.') {
+            if SKIP_DIRS.contains(&name) || name.starts_with('.') || is_nested_workspace(&path) {
                 continue;
             }
             collect_rs_files(root, &path, out)?;
@@ -412,42 +339,44 @@ mod tests {
     }
 
     #[test]
-    fn incremental_cache_tracks_edits_and_memoizes_clean_runs() {
-        let root = std::env::temp_dir().join("deep-lint-incr-test");
+    fn nested_workspaces_are_not_scanned() {
+        let root = std::env::temp_dir().join("deep-lint-nested-ws-test");
         let _ = fs::remove_dir_all(&root);
         fs::create_dir_all(root.join("crates/core/src")).unwrap();
-        fs::create_dir_all(root.join("crates/lint/src")).unwrap();
+        fs::create_dir_all(root.join("bench/src")).unwrap();
         fs::write(
-            root.join("crates/lint/src/timing.rs"),
-            "pub fn stamp() -> u64 { 0 }\n",
+            root.join("Cargo.toml"),
+            "[workspace]\nmembers = [\"crates/*\"]\n",
         )
         .unwrap();
+        fs::write(root.join("crates/core/src/lib.rs"), "pub fn f() {}\n").unwrap();
+        // A separate workspace that reads the wall clock (a D2 finding
+        // if it were scanned as part of this one).
         fs::write(
-            root.join("crates/core/src/resilience.rs"),
-            "pub fn f(seed: u64) -> u64 { seed ^ deep_lint::timing::stamp() }\n",
+            root.join("bench/Cargo.toml"),
+            "[package]\nname = \"bench\"\n\n[workspace]\n",
         )
         .unwrap();
-        let cache = root.join("cache");
-        let all = RuleSet::all();
-        let cold = scan_workspace_cached(&root, &all, Some(&cache), false).unwrap();
-        assert_eq!(cold.cache_hits, 0);
-        assert!(cold.findings.is_empty(), "{:?}", cold.findings);
-        let warm = scan_workspace_cached(&root, &all, Some(&cache), false).unwrap();
-        assert_eq!(warm.cache_hits, 2);
-        assert!(warm.findings.is_empty(), "{:?}", warm.findings);
-        // Edit the helper to read the wall clock: the edited file must
-        // re-lex, the workspace memo must invalidate, and the
-        // *cross-file* D4 finding must appear in the unchanged caller.
+        let clock = "pub fn t() -> std::time::Instant { std::time::Instant::now() }\n";
+        fs::write(root.join("bench/src/lib.rs"), clock).unwrap();
+        let scan = scan_workspace(&root, &RuleSet::all()).unwrap();
+        assert_eq!(scan.files, 1, "only crates/core/src/lib.rs is in scope");
+        // The same file outside a nested workspace is scanned.
         fs::write(
-            root.join("crates/lint/src/timing.rs"),
-            "pub fn stamp() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n",
+            root.join("bench/Cargo.toml"),
+            "[package]\nname = \"bench\"\n",
         )
         .unwrap();
-        let edited = scan_workspace_cached(&root, &all, Some(&cache), false).unwrap();
-        assert_eq!(edited.cache_hits, 1, "only the edited file re-lexes");
-        assert_eq!(edited.findings.len(), 1, "{:?}", edited.findings);
-        assert_eq!(edited.findings[0].rule, Rule::DeterminismTaint);
-        assert_eq!(edited.findings[0].path, "crates/core/src/resilience.rs");
+        let scan = scan_workspace(&root, &RuleSet::all()).unwrap();
+        assert_eq!(scan.files, 2);
+        assert!(
+            scan.findings
+                .iter()
+                .any(|f| f.path == "bench/src/lib.rs" && f.rule == Rule::AmbientAuthority),
+            "{:?}",
+            scan.findings
+        );
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

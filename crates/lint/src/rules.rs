@@ -40,9 +40,6 @@ pub enum Rule {
     /// D4 — interprocedural: a sim-scope call transitively reaches an
     /// ambient-authority source outside D2's file scope.
     DeterminismTaint,
-    /// D5 — interprocedural: un-partitioned `spawn` or shared-mutable
-    /// access reachable from partitioned des_scaling code.
-    PartitionSafety,
     /// P1 — interprocedural: panic sink reachable from deep-serve
     /// request handling.
     PanicPath,
@@ -50,7 +47,7 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in catalogue order.
-    pub const ALL: [Rule; 9] = [
+    pub const ALL: [Rule; 8] = [
         Rule::UnorderedIter,
         Rule::AmbientAuthority,
         Rule::UnorderedFloatReduce,
@@ -58,7 +55,6 @@ impl Rule {
         Rule::MissingForbidUnsafe,
         Rule::MalformedPragma,
         Rule::DeterminismTaint,
-        Rule::PartitionSafety,
         Rule::PanicPath,
     ];
 
@@ -72,7 +68,6 @@ impl Rule {
             Rule::MissingForbidUnsafe => "missing-forbid-unsafe",
             Rule::MalformedPragma => "malformed-pragma",
             Rule::DeterminismTaint => "determinism-taint",
-            Rule::PartitionSafety => "partition-safety",
             Rule::PanicPath => "panic-path",
         }
     }
@@ -106,11 +101,6 @@ impl Rule {
                 "interprocedural: a call in sim-scope code transitively reaches \
                  a wall-clock/env/RNG source defined in a D2-exempt file — the \
                  cross-file blind spot of ambient-authority"
-            }
-            Rule::PartitionSafety => {
-                "interprocedural: code reachable from the partitioned des_scaling \
-                 path uses un-partitioned Sim::spawn or shared-mutable (RefCell) \
-                 state, which would break the (at,seq) merge-order proof"
             }
             Rule::PanicPath => {
                 "interprocedural: unwrap/expect/map-index reachable from \

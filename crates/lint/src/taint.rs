@@ -1,7 +1,7 @@
-//! The interprocedural passes: D4 determinism-taint, D5
-//! partition-safety, P1 panic-path (DESIGN.md §17).
+//! The interprocedural passes: D4 determinism-taint and P1 panic-path
+//! (DESIGN.md §17).
 //!
-//! All three are reachability problems over the [`Graph`]:
+//! Both are reachability problems over the [`Graph`]:
 //!
 //! * **D4** propagates taint *backwards* from ambient-authority sources
 //!   (the D2 pattern set, recorded even in D2-exempt files — that is
@@ -10,21 +10,16 @@
 //!   the simplest possible: a function is clean or tainted, and taint
 //!   carries a breadcrumb (the next hop toward the source) so findings
 //!   show the concrete chain.
-//! * **D5** walks *forwards* from the partitioned `des_scaling` world
-//!   and flags un-partitioned `spawn` calls and shared-mutable
-//!   (`RefCell`) borrows in everything it can reach. The simkit/fabric
-//!   kernel itself is excluded: it carries its own ordering proofs
-//!   (DESIGN.md §16).
 //! * **P1** walks *forwards* from deep-serve's request-handling roots
 //!   and reports panic sinks it can reach; `catch_unwind(…)` argument
 //!   regions are barriers the walk does not cross.
 //!
-//! Vendor code is outside all three traversals — rayon legitimately
+//! Vendor code is outside both traversals — rayon legitimately
 //! reads `RAYON_NUM_THREADS`, and tainting through it would mark the
 //! entire workspace.
 
 use crate::graph::Graph;
-use crate::items::{Callee, FileSummary};
+use crate::items::FileSummary;
 use crate::rules::{Finding, Rule, RuleSet};
 use crate::rules_for_path;
 use std::collections::BTreeSet;
@@ -40,9 +35,6 @@ pub fn workspace_findings(
     let mut findings = Vec::new();
     if enabled.has(Rule::DeterminismTaint) {
         determinism_taint(graph, summaries, &mut findings);
-    }
-    if enabled.has(Rule::PartitionSafety) {
-        partition_safety(graph, summaries, &mut findings);
     }
     if enabled.has(Rule::PanicPath) {
         panic_path(graph, summaries, &mut findings);
@@ -168,128 +160,6 @@ fn trace(taint: &[Option<Taint>], graph: &Graph, start: usize) -> String {
         }
     }
     parts.join(" → ")
-}
-
-// ---------------------------------------------------------------------
-// D5 — partition-safety.
-
-/// Crates whose internals the D5 walk does not enter: the kernel
-/// carries its own (at,seq) ordering proofs.
-const D5_EXCLUDED_CRATES: &[&str] = &["deep_simkit", "deep_fabric"];
-
-fn d5_excluded(krate: &str, rel: &str) -> bool {
-    D5_EXCLUDED_CRATES.contains(&krate) || is_vendor(rel)
-}
-
-fn partition_safety(graph: &Graph, summaries: &[FileSummary], findings: &mut Vec<Finding>) {
-    // Roots: every fn in a `des_scaling` module, plus every fn that
-    // itself partitions spawns (calls spawn_in) — both are "partitioned
-    // world" by construction.
-    let mut reached = vec![false; graph.nodes.len()];
-    let mut queue = VecDeque::new();
-    for (id, n) in graph.nodes.iter().enumerate() {
-        if d5_excluded(&n.krate, &n.rel) {
-            continue;
-        }
-        let in_module = n.module.iter().any(|m| m == "des_scaling");
-        let partitions = calls_of(summaries, graph, id).any(|c| {
-            callee_last(&c.callee).is_some_and(|l| l == "spawn_in" || l == "spawn_in_fmt")
-        });
-        if (in_module || partitions) && !reached[id] {
-            reached[id] = true;
-            queue.push_back(id);
-        }
-    }
-    while let Some(id) = queue.pop_front() {
-        for &ei in &graph.out[id] {
-            let to = graph.edges[ei].to;
-            let n = &graph.nodes[to];
-            if !reached[to] && !d5_excluded(&n.krate, &n.rel) {
-                reached[to] = true;
-                queue.push_back(to);
-            }
-        }
-    }
-    for (id, n) in graph.nodes.iter().enumerate() {
-        if !reached[id] {
-            continue;
-        }
-        let mut borrow_line: Option<u32> = None;
-        for c in calls_of(summaries, graph, id) {
-            match &c.callee {
-                Callee::Method(m) if m == "spawn" || m == "spawn_fmt" => {
-                    findings.push(Finding {
-                        path: n.rel.clone(),
-                        line: c.line,
-                        rule: Rule::PartitionSafety,
-                        message: format!(
-                            "un-partitioned `.{m}(…)` in partition-scope code \
-                             (`{}`) — use `spawn_in(partition, …)` so every event \
-                             carries its partition for the (at,seq) merge",
-                            n.qualified()
-                        ),
-                    });
-                }
-                Callee::Path(segs)
-                    if segs
-                        .last()
-                        .is_some_and(|l| l == "spawn" || l == "spawn_fmt")
-                        && !segs.iter().any(|s| s == "thread") =>
-                {
-                    findings.push(Finding {
-                        path: n.rel.clone(),
-                        line: c.line,
-                        rule: Rule::PartitionSafety,
-                        message: format!(
-                            "un-partitioned `{}(…)` in partition-scope code \
-                             (`{}`) — use `spawn_in(partition, …)` so every event \
-                             carries its partition for the (at,seq) merge",
-                            segs.join("::"),
-                            n.qualified()
-                        ),
-                    });
-                }
-                Callee::Method(m) if m == "borrow" || m == "borrow_mut" => {
-                    borrow_line.get_or_insert(c.line);
-                }
-                _ => {}
-            }
-        }
-        if let Some(line) = borrow_line {
-            findings.push(Finding {
-                path: n.rel.clone(),
-                line,
-                rule: Rule::PartitionSafety,
-                message: format!(
-                    "shared-mutable `RefCell` borrow in partition-reachable code \
-                     (`{}`) — cross-partition shared state breaks the (at,seq) \
-                     merge proof; partition the state, or justify the sequencing \
-                     (e.g. a barrier) with a pragma",
-                    n.qualified()
-                ),
-            });
-        }
-    }
-}
-
-fn callee_last(c: &Callee) -> Option<&str> {
-    match c {
-        Callee::Path(segs) => segs.last().map(|s| s.as_str()),
-        Callee::Method(m) | Callee::Free(m) => Some(m.as_str()),
-    }
-}
-
-/// The call sites belonging to one graph node.
-fn calls_of<'a>(
-    summaries: &'a [FileSummary],
-    graph: &'a Graph,
-    id: usize,
-) -> impl Iterator<Item = &'a crate::items::CallRef> {
-    let n = &graph.nodes[id];
-    summaries[n.file]
-        .calls
-        .iter()
-        .filter(move |c| c.from == n.fn_idx)
 }
 
 // ---------------------------------------------------------------------
@@ -430,51 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn d5_flags_unpartitioned_spawn_and_borrows_in_reach() {
-        let files = [
-            (
-                "crates/bench/src/des_scaling.rs",
-                "pub fn run(ctx: &Ctx) {\n\
-                 \x20   ctx.spawn_in(0, \"driver\", fut);\n\
-                 \x20   ctx.spawn(\"stray\", fut2);\n\
-                 \x20   helper(ctx);\n\
-                 }\n\
-                 fn helper(ctx: &Ctx) { shared.borrow_mut().push(1); }",
-            ),
-            // Unreachable from the partitioned world: not flagged.
-            (
-                "crates/core/src/lib.rs",
-                "pub fn elsewhere(h: &H) { h.spawn(\"x\", f); }",
-            ),
-        ];
-        let fs = analyze(&files, &RuleSet::none().with(Rule::PartitionSafety));
-        assert_eq!(fs.len(), 2, "{fs:?}");
-        assert!(
-            fs[0].message.contains("un-partitioned"),
-            "{}",
-            fs[0].message
-        );
-        assert_eq!(fs[0].line, 3);
-        assert!(fs[1].message.contains("RefCell"), "{}", fs[1].message);
-    }
-
-    #[test]
-    fn d5_does_not_enter_the_kernel() {
-        let files = [
-            (
-                "crates/bench/src/des_scaling.rs",
-                "pub fn run(s: &Sim) { s.spawn_in(0, \"d\", f); deep_simkit::sim::advance(s); }",
-            ),
-            (
-                "crates/simkit/src/sim.rs",
-                "pub fn advance(s: &Sim) { s.inner.borrow_mut().step(); }",
-            ),
-        ];
-        let fs = analyze(&files, &RuleSet::none().with(Rule::PartitionSafety));
-        assert!(fs.is_empty(), "{fs:?}");
-    }
-
-    #[test]
     fn p1_reaches_sinks_transitively_but_not_past_catch_unwind() {
         let files = [(
             "crates/serve/src/server.rs",
@@ -494,13 +319,13 @@ mod tests {
     #[test]
     fn pragmas_suppress_workspace_findings_with_justification() {
         let files = [(
-            "crates/bench/src/des_scaling.rs",
-            "pub fn run(ctx: &Ctx) {\n\
-             \x20   // deep-lint: allow(partition-safety) — barrier.wait() sequences this\n\
-             \x20   shared.borrow_mut().push(1);\n\
+            "crates/serve/src/server.rs",
+            "pub fn serve_connection(req: &Req) {\n\
+             \x20   // deep-lint: allow(panic-path) — the body was length-checked by the reader\n\
+             \x20   req.body.first().unwrap();\n\
              }",
         )];
-        let fs = analyze(&files, &RuleSet::none().with(Rule::PartitionSafety));
+        let fs = analyze(&files, &RuleSet::none().with(Rule::PanicPath));
         assert!(fs.is_empty(), "{fs:?}");
     }
 }

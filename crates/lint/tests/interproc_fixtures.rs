@@ -1,5 +1,5 @@
 //! Fixture corpus for the interprocedural rules (D4 determinism-taint,
-//! D5 partition-safety, P1 panic-path). These rules see the whole
+//! P1 panic-path). These rules see the whole
 //! workspace at once, so each fixture is a *set* of files mounted at
 //! synthetic workspace-relative paths via [`analyze_sources`] — the
 //! paths drive the same scope policy the real scan uses.
@@ -79,23 +79,6 @@ fn d4_good_twins_are_clean() {
             ("crates/lint/src/consumer.rs", "d4_bad_caller.rs"),
             ("crates/lint/src/timing.rs", "d4_bad_helper.rs"),
         ]),
-        BTreeMap::new()
-    );
-}
-
-#[test]
-fn d5_bad_fires_exactly_partition_safety() {
-    assert_eq!(
-        fired(&[("crates/bench/src/des_scaling.rs", "d5_bad.rs")]),
-        BTreeMap::from([(Rule::PartitionSafety, 2)]),
-        "un-partitioned spawn + shared-mutable borrow"
-    );
-}
-
-#[test]
-fn d5_good_is_clean() {
-    assert_eq!(
-        fired(&[("crates/bench/src/des_scaling.rs", "d5_good.rs")]),
         BTreeMap::new()
     );
 }

@@ -17,7 +17,9 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn workspace_lints_clean() {
-    let findings = scan_workspace(&workspace_root(), &RuleSet::all()).expect("scan");
+    let findings = scan_workspace(&workspace_root(), &RuleSet::all())
+        .expect("scan")
+        .findings;
     assert!(
         findings.is_empty(),
         "deep-lint found {} violation(s) in the workspace:\n{}",

@@ -21,20 +21,12 @@
 //! dead entries that must be popped, re-heapified and filtered at the
 //! worst possible moment.
 //!
-//! ## Partitioned far-horizon queue
+//! ## Two timer queues
 //!
-//! The overflow heap is *partitioned*: every process belongs to a
-//! partition (inherited from its spawner, or chosen explicitly via
-//! `Sim::spawn_in`), and its far-horizon timers live in that partition's
-//! own `BinaryHeap`. A fabric-scale simulation assigns one partition per
-//! fabric segment (leaf switch / module), so 10⁴–10⁵ concurrent compute
-//! sleeps push into thousands of tiny heaps (O(1) when a heap holds one
-//! entry) instead of contending on one shared heap with log₂(n) sift
-//! depth. Firing merges partitions back into the exact global `(at, seq)`
-//! order — see [`Kernel::fire_timers_at`] — so partitioning is invisible
-//! in traces: a run with any partition assignment is bit-identical to the
-//! same program on a single queue. The default is one partition; nothing
-//! changes for existing simulations.
+//! Deadlines within [`WHEEL_SLOTS`] ns of now go to an O(1) timer
+//! wheel; everything further out goes to one `BinaryHeap`. Firing
+//! drains the heap's entries for an instant before the wheel slot's,
+//! which is exact `(at, seq)` order — see [`Kernel::fire_timers_at`].
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -224,23 +216,9 @@ pub(crate) struct Kernel {
     pub(crate) now: SimTime,
     seq: u64,
     /// O(1) queue for deadlines within the wheel horizon (the hot path).
-    /// Shared across partitions: wheel ops are O(1) regardless of
-    /// occupancy, and one wheel costs ~24 KiB — per-partition wheels
-    /// would waste megabytes at fabric scale for no algorithmic gain.
     wheel: TimerWheel,
-    /// Partitioned overflow heaps for far-horizon deadlines; a timer
-    /// lives in the heap of its owner process's partition. Index 0
-    /// always exists (the default partition).
-    parts: Vec<BinaryHeap<Timer>>,
-    /// Total entries across all partition heaps (including lazily
-    /// cancelled ones); lets `next_timer_at` skip the partition scan
-    /// entirely when every pending timer is on the wheel.
-    heap_len: usize,
-    /// Partition of each process, parallel to `procs`.
-    part_of: Vec<u32>,
-    /// Scratch buffer for draining due timers while waking their owners;
-    /// capacity is recycled so firing allocates nothing in steady state.
-    fire_scratch: Vec<(u64, ProcId)>,
+    /// Overflow heap for far-horizon deadlines.
+    heap: BinaryHeap<Timer>,
     /// Tokens of cancelled (not yet surfaced) timers. Almost always empty;
     /// the `is_empty` fast path keeps the per-event cost at one branch.
     cancelled: HashSet<u64>,
@@ -269,10 +247,7 @@ impl Kernel {
             now: SimTime::ZERO,
             seq: 0,
             wheel: TimerWheel::new(),
-            parts: vec![BinaryHeap::with_capacity(256)],
-            heap_len: 0,
-            part_of: Vec::with_capacity(256),
-            fire_scratch: Vec::new(),
+            heap: BinaryHeap::with_capacity(256),
             cancelled: HashSet::new(),
             ready: VecDeque::with_capacity(256),
             procs: Vec::with_capacity(256),
@@ -285,27 +260,14 @@ impl Kernel {
         }
     }
 
-    /// Register a new process; it becomes runnable immediately. The
-    /// process inherits the partition of its spawner (partition 0 when
-    /// spawned from outside the event loop).
+    /// Register a new process; it becomes runnable immediately.
     pub(crate) fn add_proc(&mut self, name: String, fut: BoxedProc) -> ProcId {
-        let part = self.current.map_or(0, |p| self.part_of[p.0 as usize]);
-        self.add_proc_in(part, name, fut)
-    }
-
-    /// Register a new process in an explicit partition, growing the
-    /// partition table as needed (empty heaps cost one pointer-triple).
-    pub(crate) fn add_proc_in(&mut self, part: u32, name: String, fut: BoxedProc) -> ProcId {
-        if part as usize >= self.parts.len() {
-            self.parts.resize_with(part as usize + 1, BinaryHeap::new);
-        }
         let id = ProcId(self.procs.len() as u32);
         self.procs.push(ProcSlot {
             fut: Some(fut),
             status: ProcStatus::Alive,
             queued: true,
         });
-        self.part_of.push(part);
         self.names.push(name);
         self.join_waiters.push(Vec::new());
         self.live += 1;
@@ -322,26 +284,6 @@ impl Kernel {
         s.clear();
         let _ = s.write_fmt(name);
         self.add_proc(s, fut)
-    }
-
-    /// Like [`Kernel::add_proc_in`], with a pool-recycled formatted name.
-    pub(crate) fn add_proc_fmt_in(
-        &mut self,
-        part: u32,
-        name: fmt::Arguments<'_>,
-        fut: BoxedProc,
-    ) -> ProcId {
-        use fmt::Write as _;
-        let mut s = self.name_pool.pop().unwrap_or_default();
-        s.clear();
-        let _ = s.write_fmt(name);
-        self.add_proc_in(part, s, fut)
-    }
-
-    /// Number of partitions currently backing the far-horizon queue.
-    #[inline]
-    pub(crate) fn partitions(&self) -> usize {
-        self.parts.len()
     }
 
     /// The process being polled right now. Panics outside a poll: kernel
@@ -399,10 +341,6 @@ impl Kernel {
 
     /// Schedule a wake-up for `proc` at absolute time `at`.
     /// Returns the token (the timer's unique `seq`) guarding this timer.
-    ///
-    /// Near deadlines go to the shared wheel; far deadlines go to the
-    /// heap of `proc`'s partition, so independent fabric segments never
-    /// sift through each other's timers.
     #[inline]
     pub(crate) fn schedule_wake(&mut self, at: SimTime, proc: ProcId) -> u64 {
         debug_assert!(at >= self.now, "cannot schedule in the past");
@@ -410,13 +348,11 @@ impl Kernel {
         if at.as_nanos() - self.now.as_nanos() < WHEEL_SLOTS as u64 {
             self.wheel.push(at, self.seq, proc);
         } else {
-            let part = self.part_of[proc.0 as usize] as usize;
-            self.parts[part].push(Timer {
+            self.heap.push(Timer {
                 at,
                 seq: self.seq,
                 proc,
             });
-            self.heap_len += 1;
         }
         self.seq
     }
@@ -430,33 +366,21 @@ impl Kernel {
     }
 
     /// Time of the earliest *live* pending timer, if any. Purges dead
-    /// (cancelled) entries from the tops of the partition heaps as a
-    /// side effect. The heap candidate is the minimum over all partition
-    /// heads — skipped entirely (one integer test) when every pending
-    /// timer is on the wheel, which is the common case for latency-scale
-    /// workloads.
+    /// (cancelled) entries from the heap top and the wheel as a side
+    /// effect.
     #[inline]
     pub(crate) fn next_timer_at(&mut self) -> Option<SimTime> {
-        let mut heap_at: Option<SimTime> = None;
-        if self.heap_len > 0 {
-            for part in self.parts.iter_mut() {
-                let head = loop {
-                    match part.peek() {
-                        None => break None,
-                        Some(t) => {
-                            if self.cancelled.is_empty() || !self.cancelled.remove(&t.seq) {
-                                break Some(t.at);
-                            }
-                            part.pop();
-                            self.heap_len -= 1;
-                        }
+        let heap_at = loop {
+            match self.heap.peek() {
+                None => break None,
+                Some(t) => {
+                    if self.cancelled.is_empty() || !self.cancelled.remove(&t.seq) {
+                        break Some(t.at);
                     }
-                };
-                if let Some(at) = head {
-                    heap_at = Some(heap_at.map_or(at, |h: SimTime| h.min(at)));
+                    self.heap.pop();
                 }
             }
-        }
+        };
         let wheel_at = loop {
             match self.wheel.next_at(self.now) {
                 None => break None,
@@ -479,55 +403,28 @@ impl Kernel {
     /// obtained from [`Kernel::next_timer_at`] — advancing `now` and
     /// waking the owners in schedule order.
     ///
-    /// Cross-queue merge: due entries from every partition heap and from
-    /// the wheel slot are collected into one scratch batch and woken in
-    /// ascending `seq` — i.e. exact global `(at, seq)` order, identical
-    /// to a single shared queue, which is what makes partitioning
-    /// invisible in traces. Two properties keep the merge cheap:
+    /// Heap entries are drained before the wheel slot, and that is exact
+    /// `(at, seq)` order with no sort:
     ///
-    /// * *within* one heap, pops at equal `at` come out seq-sorted, and
-    ///   a wheel slot is seq-sorted by construction (append-only, `seq`
-    ///   monotone) — so each source is already sorted;
-    /// * *across* the heap/wheel boundary, every heap-resident timer for
-    ///   this instant was scheduled when the deadline was a full
-    ///   wheel-horizon away, i.e. strictly earlier in virtual time than
-    ///   any wheel-resident timer for the same instant — so all heap
-    ///   seqs precede all wheel seqs, and the wheel batch can be
-    ///   appended unsorted.
-    ///
-    /// The only case needing a sort is two or more *partition heaps*
-    /// contributing at one instant, and then only the heap prefix of the
-    /// batch is sorted. With one partition (the default) that never
-    /// happens and this reduces to the old heap-then-wheel drain.
+    /// * pops at equal `at` come out of the heap seq-sorted, and a wheel
+    ///   slot is seq-sorted by construction (append-only, `seq`
+    ///   monotone);
+    /// * every heap-resident timer for this instant was scheduled when
+    ///   the deadline was a full wheel-horizon away, i.e. strictly
+    ///   earlier in virtual time than any wheel-resident timer for the
+    ///   same instant — so all heap seqs precede all wheel seqs.
     #[inline]
     pub(crate) fn fire_timers_at(&mut self, at: SimTime) {
         self.now = at;
-        let mut batch = std::mem::take(&mut self.fire_scratch);
-        debug_assert!(batch.is_empty());
-        let mut heap_sources = 0usize;
-        if self.heap_len > 0 {
-            for part in self.parts.iter_mut() {
-                let mut contributed = false;
-                while let Some(t) = part.peek() {
-                    if t.at != at {
-                        break;
-                    }
-                    let t = part.pop().unwrap();
-                    self.heap_len -= 1;
-                    if !self.cancelled.is_empty() && self.cancelled.remove(&t.seq) {
-                        continue; // cancelled while queued at this instant
-                    }
-                    batch.push((t.seq, t.proc));
-                    contributed = true;
-                }
-                if contributed {
-                    heap_sources += 1;
-                }
+        while let Some(t) = self.heap.peek() {
+            if t.at != at {
+                break;
             }
-        }
-        if heap_sources > 1 {
-            // Interleaved partitions: restore global schedule order.
-            batch.sort_unstable_by_key(|&(seq, _)| seq);
+            let t = self.heap.pop().unwrap();
+            if !self.cancelled.is_empty() && self.cancelled.remove(&t.seq) {
+                continue; // cancelled while queued at this instant
+            }
+            self.make_ready(t.proc);
         }
         if self.wheel.len > 0 {
             let s = TimerWheel::slot_of(at);
@@ -541,17 +438,12 @@ impl Kernel {
                     if !self.cancelled.is_empty() && self.cancelled.remove(&seq) {
                         continue;
                     }
-                    batch.push((seq, proc));
+                    self.make_ready(proc);
                 }
                 slot.clear();
                 self.wheel.slots[s] = slot;
             }
         }
-        for &(_, proc) in &batch {
-            self.make_ready(proc);
-        }
-        batch.clear();
-        self.fire_scratch = batch;
     }
 
     /// Mark `id` finished and wake its joiners. The future has already

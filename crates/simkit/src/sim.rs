@@ -75,33 +75,12 @@ impl Simulation {
         self.sim.spawn(name, fut)
     }
 
-    /// Spawn a root process into an explicit event-loop partition.
-    /// See [`Sim::spawn_in`].
-    pub fn spawn_in<F, T>(
-        &mut self,
-        partition: u32,
-        name: impl Into<String>,
-        fut: F,
-    ) -> ProcHandle<T>
-    where
-        F: Future<Output = T> + 'static,
-        T: 'static,
-    {
-        self.sim.spawn_in(partition, name, fut)
-    }
-
     /// Total process polls performed so far — the kernel's event
     /// counter. One poll is one scheduled event (a wake, a message
     /// delivery, a timer firing); scaling benchmarks divide this by wall
     /// time for an events/s figure.
     pub fn events_processed(&self) -> u64 {
         self.sim.kernel.borrow().events
-    }
-
-    /// Number of event-loop partitions currently backing the simulation
-    /// (1 unless [`Sim::spawn_in`] was used).
-    pub fn partitions(&self) -> usize {
-        self.sim.kernel.borrow().partitions()
     }
 
     /// Run until every process finished (or deadlock).
@@ -211,39 +190,23 @@ impl Sim {
         }
     }
 
-    /// Spawn a process into an explicit event-loop partition. Far-horizon
-    /// timers armed by the process (and by any children it spawns — the
-    /// partition is inherited) live in that partition's private heap, so
-    /// independent simulated segments advance without sifting through a
-    /// shared queue. Partitioning never changes observable behavior: the
-    /// kernel merges due timers back into exact global `(at, seq)` order,
-    /// so a run is bit-identical for every partition assignment — it is a
-    /// layout choice, like an allocator, not a scheduling policy.
-    ///
-    /// Partition ids are dense; spawning into partition `p` materializes
-    /// partitions `0..=p` (an empty partition is three words).
-    pub fn spawn_in<F, T>(&self, partition: u32, name: impl Into<String>, fut: F) -> ProcHandle<T>
+    /// Same as [`Sim::spawn`]; the partition is ignored. Kept only for
+    /// callers built against the former partitioned kernel.
+    #[doc(hidden)]
+    pub fn spawn_in<F, T>(&self, _partition: u32, name: impl Into<String>, fut: F) -> ProcHandle<T>
     where
         F: Future<Output = T> + 'static,
         T: 'static,
     {
-        let (wrapped, result) = wrap_proc(fut);
-        let id = self
-            .kernel
-            .borrow_mut()
-            .add_proc_in(partition, name.into(), wrapped);
-        ProcHandle {
-            sim: self.clone(),
-            id,
-            result,
-        }
+        self.spawn(name, fut)
     }
 
-    /// [`Sim::spawn_in`] with a pool-recycled formatted name (see
-    /// [`Sim::spawn_fmt`]). Use in spawn-heavy partitioned loops.
+    /// Same as [`Sim::spawn_fmt`]; the partition is ignored. Kept only
+    /// for callers built against the former partitioned kernel.
+    #[doc(hidden)]
     pub fn spawn_in_fmt<F, T>(
         &self,
-        partition: u32,
+        _partition: u32,
         name: std::fmt::Arguments<'_>,
         fut: F,
     ) -> ProcHandle<T>
@@ -251,16 +214,7 @@ impl Sim {
         F: Future<Output = T> + 'static,
         T: 'static,
     {
-        let (wrapped, result) = wrap_proc(fut);
-        let id = self
-            .kernel
-            .borrow_mut()
-            .add_proc_fmt_in(partition, name, wrapped);
-        ProcHandle {
-            sim: self.clone(),
-            id,
-            result,
-        }
+        self.spawn_fmt(name, fut)
     }
 
     /// Spawn with a name formatted straight into recycled kernel storage:
@@ -751,43 +705,52 @@ mod tests {
     }
 
     #[test]
-    fn partitions_do_not_change_event_order() {
-        // The same program spawned across k partitions must produce the
-        // identical trace for every k: partitioning is a queue layout,
-        // not a scheduling policy. Mixed horizons force both the wheel
-        // (short sleeps) and the partition heaps (long sleeps) into play,
-        // including several partitions firing at one instant.
-        fn run(parts: u32) -> Vec<(SimTime, String)> {
-            let mut sim = Simulation::new(7);
-            sim.enable_tracing();
-            for i in 0..9u32 {
-                let ctx = sim.handle();
-                sim.spawn_in(i % parts, format!("p{i}"), async move {
-                    for step in 0..4u64 {
-                        // Some deadlines collide exactly (same at, several
-                        // partitions), some are wheel-range, some heap-range.
-                        let d = if step % 2 == 0 {
-                            SimDuration::nanos(500 * (step + 1))
-                        } else {
-                            SimDuration::micros(10 * (step + i as u64 % 3))
-                        };
-                        ctx.sleep(d).await;
-                        ctx.trace(|| format!("p{i} step {step}"));
-                        let c = ctx.clone();
-                        // Children inherit the partition.
-                        ctx.spawn_fmt(format_args!("c{i}-{step}"), async move {
-                            c.sleep(SimDuration::micros(2)).await;
-                        });
-                    }
-                });
-            }
-            sim.run().assert_completed();
-            sim.take_trace()
+    fn heap_and_wheel_timers_fire_in_schedule_order() {
+        // Five wake-ups collide at T. Two were armed on the heap (a full
+        // wheel horizon ahead), three on the wheel (armed within 1 µs of
+        // T), and a sixth heap timer for T was cancelled when its race
+        // was lost. Schedule order is every heap seq before every wheel
+        // seq; spawn order differs from it, so a wrong drain shows.
+        const T: u64 = 5_000;
+        let mut sim = Simulation::new(7);
+        sim.enable_tracing();
+        // (name, first sleep, second sleep); the two legs add up to T.
+        let legs = [
+            ("w-late", 4_900, 100),
+            ("w-early", 4_500, 500),
+            ("h-late", 2_000, 3_000),
+            ("h-early", T, 0),
+        ];
+        for (name, first, second) in legs {
+            let ctx = sim.handle();
+            sim.spawn(name, async move {
+                ctx.sleep(SimDuration::nanos(first)).await;
+                ctx.sleep(SimDuration::nanos(second)).await;
+                ctx.trace(|| name.to_string());
+            });
         }
-        let base = run(1);
-        for parts in [2, 3, 4, 9, 16] {
-            assert_eq!(run(parts), base, "trace diverged at {parts} partitions");
-        }
+        let ctx = sim.handle();
+        sim.spawn("cancel", async move {
+            let (c1, c2) = (ctx.clone(), ctx.clone());
+            let won = ctx
+                .race(
+                    async move { c1.sleep(SimDuration::nanos(4_800)).await },
+                    async move { c2.sleep(SimDuration::nanos(T)).await },
+                )
+                .await;
+            assert!(won.left().is_some());
+            // Armed on the wheel at 4.8 µs. A stale wake from the
+            // cancelled heap timer would run it ahead of `h-late`.
+            ctx.sleep(SimDuration::nanos(200)).await;
+            ctx.trace(|| "cancel".to_string());
+        });
+        sim.run().assert_completed();
+        let at = SimTime::ZERO + SimDuration::nanos(T);
+        let order: Vec<(SimTime, String)> = ["h-early", "h-late", "w-early", "cancel", "w-late"]
+            .iter()
+            .map(|n| (at, n.to_string()))
+            .collect();
+        assert_eq!(sim.take_trace(), order);
     }
 
     #[test]
@@ -802,7 +765,6 @@ mod tests {
         sim.run().assert_completed();
         // One initial poll plus one per timer wake, at minimum.
         assert!(sim.events_processed() >= 11);
-        assert_eq!(sim.partitions(), 1);
     }
 
     #[test]

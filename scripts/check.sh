@@ -25,9 +25,8 @@ step "cargo clippy (deny warnings)" \
 # Determinism & unsafe-hygiene static analysis, including the
 # interprocedural passes (DESIGN.md §17). Must be clean: a violation
 # needs a fix or an explicit `deep-lint: allow(...)` pragma with a
-# justification (see CONTRIBUTING.md). The summary cache makes
-# repeated local runs near-instant.
-step "deep-lint" cargo run -q -p deep-lint -- --cache-dir target/lint-cache
+# justification (see CONTRIBUTING.md).
+step "deep-lint" cargo run -q -p deep-lint
 
 step "cargo test (workspace)" cargo test -q --workspace
 

@@ -10,18 +10,28 @@
 //! sized so one replica is milliseconds of simulation and the pool's
 //! per-task overhead is invisible against the grain.
 //!
-//! On a 1-core host the wall-clock assertion is vacuous (both pools run
-//! the same single worker), so it is skipped — but the bit-identity
-//! assertion still runs: width must never change results anywhere.
+//! The wall-clock assertion only has teeth where the host can run
+//! threads in parallel at all. The test measures that first: the same
+//! total spin-loop work on one thread and split across `n` threads
+//! (min of three each). Below 1.5× raw capacity — one core, or vCPUs
+//! that share a core — the wall-clock half is skipped with the reason
+//! printed. The bit-identity assertion always runs: width must never
+//! change results anywhere.
 
 // deep-lint: allow(ambient-authority) — this test *measures* host wall
 // clock on purpose: it gates scheduler overhead, not simulated time.
 use std::time::{Duration, Instant};
 
+use std::hint::black_box;
+
 use deep_core::{mean_multilevel_efficiency, LevelCost, MultiLevelParams};
 use rayon::{ThreadPool, ThreadPoolBuilder};
 
 const REPLICAS: u32 = 64;
+
+/// Raw parallel capacity below which a wall-clock speedup is not
+/// expected, so not asserted.
+const MIN_CAPACITY: f64 = 1.5;
 
 /// Same shape as `benches/sweep.rs`: heavy enough that fork/join cost
 /// cannot dominate, light enough for a test.
@@ -52,18 +62,48 @@ fn params() -> MultiLevelParams {
     }
 }
 
-/// Minimum wall over `rounds` runs of the sweep on `pool` — min, not
-/// mean, because load spikes only ever add time.
-fn min_wall(pool: &ThreadPool, p: &MultiLevelParams, rounds: u32) -> Duration {
+/// Minimum wall over `rounds` runs of `f` — min, not mean, because
+/// load spikes only ever add time.
+fn min_wall(rounds: u32, f: impl Fn()) -> Duration {
     (0..rounds)
         .map(|_| {
             // deep-lint: allow(ambient-authority) — wall clock is the measurand here.
             let t0 = Instant::now();
-            pool.install(|| mean_multilevel_efficiency(p, 11, REPLICAS));
+            f();
             t0.elapsed()
         })
         .min()
         .unwrap()
+}
+
+/// A fixed amount of integer work that no optimiser can fold away.
+fn spin(iters: u64) -> u64 {
+    let mut x = black_box(0x9e37_79b9_7f4a_7c15u64);
+    for _ in 0..iters {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        x ^= x >> 29;
+    }
+    black_box(x)
+}
+
+/// The host's raw parallel capacity for `n` threads: wall time of a
+/// fixed spin-loop total on one thread ÷ wall time of the same total
+/// split across `n` threads, each side the min of three runs. `n` real
+/// cores read close to `n`; vCPUs that share a core read near 1.
+fn parallel_capacity(n: usize) -> (f64, Duration, Duration) {
+    const TOTAL: u64 = 60_000_000;
+    let per_thread = TOTAL / n as u64;
+    let one = min_wall(3, || {
+        spin(per_thread * n as u64);
+    });
+    let all = min_wall(3, || {
+        std::thread::scope(|s| {
+            for _ in 0..n {
+                s.spawn(|| spin(per_thread));
+            }
+        });
+    });
+    (one.as_secs_f64() / all.as_secs_f64(), one, all)
 }
 
 #[test]
@@ -88,14 +128,29 @@ fn nthread_sweep_is_never_slower_than_serial_on_multicore() {
         eprintln!("1-core host: skipping the wall-clock half of the speedup gate");
         return;
     }
+    let (capacity, spin_1, spin_n) = parallel_capacity(n);
+    eprintln!(
+        "raw parallel capacity: {n} spinning threads run {capacity:.2}x one \
+         thread ({spin_n:?} vs {spin_1:?})"
+    );
+    if capacity < MIN_CAPACITY {
+        eprintln!("below {MIN_CAPACITY}x: skipping the wall-clock half of the speedup gate");
+        return;
+    }
 
-    let wall_1 = min_wall(&one, &p, 3);
-    let wall_n = min_wall(&full, &p, 3);
+    let sweep = |pool: &ThreadPool| {
+        min_wall(3, || {
+            pool.install(|| mean_multilevel_efficiency(&p, 11, REPLICAS));
+        })
+    };
+    let wall_1 = sweep(&one);
+    let wall_n = sweep(&full);
     let speedup = wall_1.as_secs_f64() / wall_n.as_secs_f64();
+    eprintln!("{n}-thread sweep: {speedup:.2}x the 1-thread wall ({wall_n:?} vs {wall_1:?})");
     assert!(
         speedup >= 1.0,
         "parallel regression: {n}-thread sweep is {speedup:.2}x the 1-thread \
-         wall ({wall_n:?} vs {wall_1:?}) — the scheduler is costing more than \
-         it delivers"
+         wall ({wall_n:?} vs {wall_1:?}) on a host with {capacity:.2}x raw \
+         capacity — the scheduler is costing more than it delivers"
     );
 }
